@@ -106,12 +106,12 @@ let compare ?config ?deadline ?lift_to ?prune ?select ?top t ~keywords
     let chosen =
       match select with
       | Some ranks ->
-        let n = List.length results in
+        let by_rank = Array.of_list results in
+        let n = Array.length by_rank in
         (match List.find_opt (fun r -> r < 1 || r > n) ranks with
         | Some rank ->
           Error (Error.Rank_out_of_range { rank; available = n })
-        | None ->
-          Ok (List.map (fun rank -> List.nth results (rank - 1)) ranks))
+        | None -> Ok (List.map (fun rank -> by_rank.(rank - 1)) ranks))
       | None ->
         let top = match top with Some t -> t | None -> 4 in
         Ok (List.filteri (fun i _ -> i < top) results)

@@ -94,7 +94,7 @@ let query ?limit ?lift_to ?(semantics = Slca) ?(scoring = Occurrence) engine
   | _ ->
     let slcas =
       match semantics with
-      | Slca -> Slca.by_aggregation engine.idx keywords
+      | Slca -> Slca.by_merge engine.idx keywords
       | Elca -> Slca.elca engine.idx keywords
     in
     (* Lift each SLCA to its nearest enclosing entity (or the requested
@@ -106,7 +106,7 @@ let query ?limit ?lift_to ?(semantics = Slca) ?(scoring = Occurrence) engine
       | None -> Node_category.entity_of engine.cats engine.tree
     in
     let table : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
+    let entities = ref [] in
     List.iter
       (fun slca_id ->
         let entity_id = lift slca_id in
@@ -114,21 +114,20 @@ let query ?limit ?lift_to ?(semantics = Slca) ?(scoring = Occurrence) engine
         | Some witnesses -> witnesses := slca_id :: !witnesses
         | None ->
           Hashtbl.add table entity_id (ref [ slca_id ]);
-          order := entity_id :: !order)
+          entities := entity_id :: !entities)
       slcas;
-    let candidates = List.rev !order in
     (* Drop candidates nested inside other candidates: lifting can make one
-       result subtree contain another, and the outer one subsumes it. *)
+       result subtree contain another, and the outer one subsumes it.
+       Pre-order intervals nest, so after sorting, a candidate is nested iff
+       it falls inside the last kept one. *)
     let minimal =
-      List.filter
-        (fun id ->
-          not
-            (List.exists
-               (fun other ->
-                 other <> id
-                 && Doctree.is_descendant_or_self engine.tree ~ancestor:other id)
-               candidates))
-        candidates
+      let rec sweep acc outer_end = function
+        | [] -> List.rev acc
+        | id :: rest ->
+          if id < outer_end then sweep acc outer_end rest
+          else sweep (id :: acc) (Doctree.subtree_end engine.tree id) rest
+      in
+      sweep [] 0 (List.sort Int.compare !entities)
     in
     let scored =
       List.map

@@ -34,6 +34,7 @@ let lca_candidates index keywords =
     done;
     !acc
 
+(* The oracle for [by_merge]: one pass over every node of the corpus. *)
 let by_aggregation index keywords =
   match keywords with
   | [] -> []
@@ -100,15 +101,45 @@ let elca index keywords =
     done;
     !acc
 
-(* Dewey-merge implementation, used as a testing oracle.
+(* Indexed lookup in the style of Xu & Papakonstantinou, over pre-order ids
+   instead of Dewey labels: the production SLCA.
 
-   For each match v of the rarest keyword, and for each other keyword list L,
-   find the elements of L closest to v in document order (predecessor and
-   successor); the deeper of lca(v, pred) and lca(v, succ) is the lowest
-   ancestor of v with a match of that keyword. Intersecting over all lists
-   (taking the shallowest of the per-list lowest ancestors) gives the lowest
-   ancestor of v covering all keywords. The SLCAs are the minimal elements of
-   that candidate set. *)
+   For each match v of the rarest keyword, and for each other keyword list
+   L, the elements of L closest to v in document order (predecessor and
+   successor) are found by binary search; the lowest ancestor of v whose
+   subtree holds one of them is the deeper of lca(v, pred) and
+   lca(v, succ), the lowest ancestor of v with a match of that keyword.
+   Taking the shallowest of these over all lists gives the lowest ancestor
+   of v covering all keywords. Since every per-list answer is an ancestor
+   of v, the running answer is refined by climbing [parent] until its
+   subtree interval covers the predecessor or the successor. The SLCAs are
+   the minimal elements of the candidate set. The cost depends on the
+   posting lists and the depth of the tree, never on the corpus size. *)
+
+(* Index of the last element of [arr] that is <= [v], or -1. *)
+let predecessor arr v =
+  let lo = ref 0 and hi = ref (Array.length arr) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if arr.(mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* Ascending distinct ids of the sorted array [ids] with every id that is a
+   proper ancestor of another dropped. Pre-order intervals nest, so an id
+   has a descendant in the array iff the next larger id falls inside its
+   subtree. *)
+let minimal_ids tree ids =
+  let acc = ref [] and next = ref max_int in
+  for i = Array.length ids - 1 downto 0 do
+    let id = ids.(i) in
+    if id <> !next then begin
+      if !next >= Doctree.subtree_end tree id then acc := id :: !acc;
+      next := id
+    end
+  done;
+  !acc
+
 let by_merge index keywords =
   match keywords with
   | [] -> []
@@ -117,82 +148,30 @@ let by_merge index keywords =
     let lists = List.map (fun kw -> Index.postings index kw) keywords in
     if List.exists (fun arr -> Array.length arr = 0) lists then []
     else
-      let deweys = Array.map (fun (n : Doctree.node) -> n.dewey) (Doctree.nodes tree) in
+      let nodes = Doctree.nodes tree in
       let rarest, others =
         let sorted =
           List.sort (fun a b -> Int.compare (Array.length a) (Array.length b)) lists
         in
         (List.hd sorted, List.tl sorted)
       in
-      (* Binary search in [arr] (ascending ids = ascending dewey order) for
-         the rightmost id whose dewey <= target's, and its successor. *)
-      let neighbors arr target_dewey =
-        let lo = ref 0 and hi = ref (Array.length arr - 1) in
-        let pred = ref None in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if Dewey.compare deweys.(arr.(mid)) target_dewey <= 0 then begin
-            pred := Some mid;
-            lo := mid + 1
-          end
-          else hi := mid - 1
-        done;
-        let succ =
-          match !pred with
-          | None -> if Array.length arr > 0 then Some 0 else None
-          | Some i -> if i + 1 < Array.length arr then Some (i + 1) else None
-        in
-        ( Option.map (fun i -> arr.(i)) !pred,
-          Option.map (fun i -> arr.(i)) succ )
-      in
-      let candidate_for v =
-        let vd = deweys.(v) in
+      let covering_ancestor v =
         List.fold_left
-          (fun acc arr ->
-            match acc with
-            | None -> None
-            | Some ancestor_dewey ->
-              let pred, succ = neighbors arr vd in
-              let lca_of = function
-                | None -> None
-                | Some u -> Some (Dewey.lca vd deweys.(u))
-              in
-              let best =
-                match (lca_of pred, lca_of succ) with
-                | None, None -> None
-                | Some d, None | None, Some d -> Some d
-                | Some d1, Some d2 ->
-                  Some (if Dewey.depth d1 >= Dewey.depth d2 then d1 else d2)
-              in
-              (match best with
-              | None -> None
-              | Some d ->
-                (* The covering ancestor for all lists so far is the
-                   shallower of the two (it must contain both). *)
-                Some
-                  (if Dewey.depth d <= Dewey.depth ancestor_dewey then d
-                   else ancestor_dewey)))
-          (Some vd) others
+          (fun cur arr ->
+            let i = predecessor arr v in
+            let pred = if i >= 0 then arr.(i) else -1 in
+            let succ = if i + 1 < Array.length arr then arr.(i + 1) else -1 in
+            (* [cur] is an ancestor-or-self of v, so it covers [pred] iff
+               [pred >= cur] and [succ] iff [succ < subtree_end cur]. *)
+            let rec climb a =
+              if (pred >= 0 && pred >= a)
+                 || (succ >= 0 && succ < Doctree.subtree_end tree a)
+              then a
+              else climb nodes.(a).Doctree.parent
+            in
+            climb cur)
+          v others
       in
-      let candidates =
-        Array.to_list rarest
-        |> List.filter_map (fun v ->
-               match candidate_for v with
-               | None -> None
-               | Some d ->
-                 (match Doctree.find_by_dewey tree d with
-                 | Some node -> Some node.id
-                 | None -> None))
-      in
-      let sorted = List.sort_uniq Int.compare candidates in
-      (* Keep minimal candidates only: drop any candidate that is a proper
-         ancestor of another candidate. *)
-      List.filter
-        (fun id ->
-          not
-            (List.exists
-               (fun other ->
-                 other <> id
-                 && Doctree.is_descendant_or_self tree ~ancestor:id other)
-               sorted))
-        sorted
+      let candidates = Array.map covering_ancestor rarest in
+      Array.sort Int.compare candidates;
+      minimal_ids tree candidates

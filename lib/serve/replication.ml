@@ -186,6 +186,23 @@ let rec read_exact r n =
 
 (* ---- Follower: the client ------------------------------------------------ *)
 
+(* Process-lifetime counters, shared by every client one server starts:
+   a client swapped in by failover continues the counts. *)
+type counters = {
+  applied : int Atomic.t;
+  resyncs : int Atomic.t;
+  divergences : int Atomic.t;
+  repoints : int Atomic.t;
+}
+
+let counters () =
+  {
+    applied = Atomic.make 0;
+    resyncs = Atomic.make 0;
+    divergences = Atomic.make 0;
+    repoints = Atomic.make 0;
+  }
+
 type client = {
   (* the current subscription target — [None] until discovery finds one;
      mutated only from the client thread (and pre-start) *)
@@ -209,10 +226,7 @@ type client = {
   stop : bool Atomic.t;
   lag : int Atomic.t;
   connected : bool Atomic.t;
-  applied : int Atomic.t;
-  resyncs : int Atomic.t;
-  divergences : int Atomic.t;
-  repoints : int Atomic.t;
+  counters : counters;
   prng : Prng.t;  (* reconnect jitter; client thread only *)
   sock_mutex : Mutex.t;
   mutable sock : Unix.file_descr option;
@@ -296,7 +310,7 @@ let handle_message c line =
         c.cursor <- Some (boot, gen, offset);
         c.applied_in_gen <- records;
         Atomic.set c.lag 0;
-        Atomic.incr c.resyncs
+        Atomic.incr c.counters.resyncs
       | _ -> raise Reconnect)
     | Some "rec" -> (
       match (mem "o" Json.to_int, mem "p" Json.to_str) with
@@ -313,7 +327,7 @@ let handle_message c line =
            with Failpoint.Injected _ -> ());
           c.cursor <- Some (boot, gen, o);
           c.applied_in_gen <- c.applied_in_gen + 1;
-          Atomic.incr c.applied;
+          Atomic.incr c.counters.applied;
           if Atomic.get c.lag > 0 then Atomic.decr c.lag)
       | _ -> raise Reconnect)
     | Some "hb" -> (
@@ -330,7 +344,7 @@ let handle_message c line =
             (* We believe we are caught up yet our fold disagrees with
                the primary's: a record was lost or misapplied. Drop the
                cursor and reconnect — the forced resync heals. *)
-            Atomic.incr c.divergences;
+            Atomic.incr c.counters.divergences;
             c.cursor <- None;
             raise Reconnect
           | _ -> ())
@@ -380,7 +394,7 @@ let set_primary c p =
     c.primary <- Some p;
     (* the cursor names the old primary's journal — resync from the new *)
     c.cursor <- None;
-    Atomic.incr c.repoints;
+    Atomic.incr c.counters.repoints;
     c.on_repoint p
   end
 
@@ -449,7 +463,7 @@ let client_loop c =
   if !lost && not (Atomic.get c.stop) then
     match c.on_lost with Some f -> f () | None -> ()
 
-let start_client ?primary ~durability ~my_epoch ~on_epoch
+let start_client ?primary ~counters ~durability ~my_epoch ~on_epoch
     ?(probe = fun () -> None) ?(on_repoint = fun _ -> ()) ~apply ~reset
     ?takeover_after ?on_lost () =
   let c =
@@ -467,10 +481,7 @@ let start_client ?primary ~durability ~my_epoch ~on_epoch
       stop = Atomic.make false;
       lag = Atomic.make 0;
       connected = Atomic.make false;
-      applied = Atomic.make 0;
-      resyncs = Atomic.make 0;
-      divergences = Atomic.make 0;
-      repoints = Atomic.make 0;
+      counters;
       prng =
         Prng.of_int
           (Hashtbl.hash (Unix.getpid (), Unix.gettimeofday (), "repl"));
@@ -498,8 +509,9 @@ let stop_client ?(join = true) c =
 
 let lag_records c = Atomic.get c.lag
 let connected c = Atomic.get c.connected
-let applied_records c = Atomic.get c.applied
-let resyncs c = Atomic.get c.resyncs
-let divergences c = Atomic.get c.divergences
-let repoints c = Atomic.get c.repoints
+let applied_records k = Atomic.get k.applied
+let resyncs k = Atomic.get k.resyncs
+let divergences k = Atomic.get k.divergences
+let repoints k = Atomic.get k.repoints
+let count_repoint k = Atomic.incr k.repoints
 let current_primary c = c.primary

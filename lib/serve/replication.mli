@@ -61,8 +61,17 @@ val serve_stream :
 
 type client
 
+type counters
+(** Follower-side replication counters. One server creates them once and
+    hands them to every client it starts, so they live as long as the
+    process: a client swapped in by failover continues the counts. *)
+
+val counters : unit -> counters
+(** Fresh counters, all 0. *)
+
 val start_client :
   ?primary:string * int ->
+  counters:counters ->
   durability:Durability.t ->
   my_epoch:(unit -> int) ->
   on_epoch:(string * int -> int -> bool) ->
@@ -108,14 +117,18 @@ val lag_records : client -> int
 
 val connected : client -> bool
 
-val applied_records : client -> int
+val applied_records : counters -> int
 
-val resyncs : client -> int
+val resyncs : counters -> int
 
-val divergences : client -> int
+val divergences : counters -> int
 
-val repoints : client -> int
+val repoints : counters -> int
 (** Times the subscription target changed (first discovery included). *)
+
+val count_repoint : counters -> unit
+(** Count a re-point made outside a client: a fresh client started at a new
+    primary in place of the old one. *)
 
 val current_primary : client -> (string * int) option
 (** The primary currently subscribed to (or targeted), if any — what the

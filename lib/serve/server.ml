@@ -94,6 +94,7 @@ type t = {
   takeover_after : float option;
   context_snapshots : bool;
   repl_client : Replication.client option ref;
+  repl_counters : Replication.counters;
   streams : int Atomic.t;
   (* Coordinated failover (DESIGN.md §14). [peers] is the static cluster
      membership walked by discovery, election and the post-promotion
@@ -1240,14 +1241,15 @@ let handle_metrics t _req _params =
                @
                match !(t.repl_client) with
                | Some c ->
+                 let k = t.repl_counters in
                  [
                    ("connected", Json.Bool (Replication.connected c));
                    ("lag_records", Json.Int (Replication.lag_records c));
                    ( "applied_records",
-                     Json.Int (Replication.applied_records c) );
-                   ("resyncs", Json.Int (Replication.resyncs c));
-                   ("divergences", Json.Int (Replication.divergences c));
-                   ("repoints", Json.Int (Replication.repoints c));
+                     Json.Int (Replication.applied_records k) );
+                   ("resyncs", Json.Int (Replication.resyncs k));
+                   ("divergences", Json.Int (Replication.divergences k));
+                   ("repoints", Json.Int (Replication.repoints k));
                  ]
                | None -> []) );
          ])
@@ -1312,6 +1314,11 @@ let spawn_fencer t ~epoch =
                        | _ -> ())
                      | Error _ -> ());
                      false
+                   | Some (503, _) ->
+                     (* up but unready (recovery replay) or shedding: a
+                        revived ex-primary listens before it recovers, so
+                        it must be chased until it can take the demote *)
+                     true
                    | Some _ -> false  (* answered; not a fencing peer *)
                    | None -> true (* unreachable: keep chasing *))
                  !pending;
@@ -1716,6 +1723,7 @@ let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
       takeover_after;
       context_snapshots;
       repl_client = ref None;
+      repl_counters = Replication.counters ();
       streams = Atomic.make 0;
       peers;
       advertise = None;
@@ -1964,7 +1972,7 @@ let repl_reset t d ~payloads ~warm =
    the peer list, state through the repl_* mirrors, takeover through the
    election below. *)
 let rec start_repl_client t d ?primary () =
-  Replication.start_client ?primary ~durability:d
+  Replication.start_client ?primary ~counters:t.repl_counters ~durability:d
     ~my_epoch:(fun () -> fence_epoch t)
     ~on_epoch:(fun hp e ->
       let mine = fence_epoch t in
@@ -2036,8 +2044,9 @@ and auto_takeover t =
     match best_primary with
     | Some s ->
       (* someone else already won (or the old primary came back): follow
-         them — swap in a fresh client pointed there; the old one is this
-         very thread, so no join *)
+         them — swap in a fresh client pointed there, counting the
+         re-point when the target changes; the old one is this very
+         thread, so no join *)
       t.current_primary := Some s.p_addr;
       (match !(t.durability) with
       | Some d ->
@@ -2048,9 +2057,9 @@ and auto_takeover t =
               t.repl_client := Some fresh;
               c)
         in
-        (match old with
-        | Some c -> Replication.stop_client ~join:false c
-        | None -> ())
+        if Option.bind old Replication.current_primary <> Some s.p_addr then
+          Replication.count_repoint t.repl_counters;
+        Option.iter (Replication.stop_client ~join:false) old
       | None -> ());
       decided := true
     | None ->

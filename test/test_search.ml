@@ -1,9 +1,17 @@
 (* Tests for the search substrate: doctree, tokenizer, inverted index, the
    two SLCA implementations (and their agreement on random corpora), node
-   categorization and the end-to-end query pipeline. *)
+   categorization and the end-to-end query pipeline, which must equal a
+   reference built on the oracle SLCA over every canned dataset query.
+   [XSACT_FUZZ_ITERS] scales the random-corpus agreement budget (CI runs a
+   bigger one than the default). *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
+
+let fuzz_iters =
+  match Sys.getenv_opt "XSACT_FUZZ_ITERS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 500)
+  | None -> 500
 
 let parse_ok src =
   match Xml_parse.parse_string src with
@@ -180,6 +188,10 @@ let test_slca_merge_agrees_basic () =
       [ "5"; "3" ];
       [ "tomtom"; "zzz" ];
       [ "product" ];
+      [];
+      [ "compact"; "compact" ];
+      [ "shop"; "compact" ];
+      [ "review"; "reviews" ];
     ]
 
 let test_elca_basic () =
@@ -261,10 +273,36 @@ let gen_corpus =
     let* keywords = list_size (return nkw) gen_word in
     return (root, keywords))
 
+(* Agreement corpus: tiny trees whose tags double as keywords, so matches
+   nest (a <p> inside a <p>) and the root itself can match; keyword lists of
+   0-3 words from a tiny vocabulary, so duplicates and overlaps are common,
+   plus a word no tree contains. *)
+let gen_agreement_case =
+  QCheck.Gen.(
+    let vocabulary = [ "p"; "q"; "red"; "gps" ] in
+    let rec gen_elem depth =
+      let* tag = oneofl [ "p"; "q"; "r" ] in
+      let* text = oneofl ("" :: vocabulary) in
+      let* children =
+        if depth = 0 then return []
+        else list_size (int_range 0 3) (gen_elem (depth - 1))
+      in
+      let text_children = if text = "" then [] else [ Xml.text text ] in
+      return
+        {
+          Xml.tag;
+          attrs = [];
+          children = text_children @ List.map (fun e -> Xml.Element e) children;
+        }
+    in
+    let* root = gen_elem 4 in
+    let* keywords = list_size (int_range 0 3) (oneofl ("zzz" :: vocabulary)) in
+    return (root, keywords))
+
 let prop_slca_agreement =
   QCheck.Test.make ~name:"by_aggregation = by_merge on random corpora"
-    ~count:500
-    (QCheck.make gen_corpus ~print:(fun (root, kws) ->
+    ~count:fuzz_iters
+    (QCheck.make gen_agreement_case ~print:(fun (root, kws) ->
          Xml_print.node_to_string (Xml.Element root)
          ^ " / "
          ^ String.concat "," kws))
@@ -421,6 +459,133 @@ let test_nested_results_deduped () =
   check Alcotest.int "one product" 1 (List.length results);
   check Alcotest.string "product" "product" (List.hd results).Search.element.Xml.tag
 
+(* ---- Identity with the oracle ------------------------------------------- *)
+
+(* [Search.query] as it was built on the oracle: [Slca.by_aggregation], the
+   same lifting, the quadratic nesting filter and the same scoring. *)
+let reference_query ?lift_to ~scoring engine keyword_string =
+  let tree = Search.doctree engine and idx = Search.index engine in
+  let cats = Search.categories engine in
+  let keywords = Token.normalize_query keyword_string in
+  let lift id =
+    let rec up id =
+      let node = Doctree.node tree id in
+      if Some node.Doctree.tag = lift_to then Some id
+      else match node.Doctree.parent with -1 -> None | p -> up p
+    in
+    match up id with Some id -> id | None -> Node_category.entity_of cats tree id
+  in
+  let slcas = Slca.by_aggregation idx keywords in
+  let table = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun s ->
+      let e = lift s in
+      match Hashtbl.find_opt table e with
+      | Some w -> w := s :: !w
+      | None ->
+        Hashtbl.add table e (ref [ s ]);
+        order := e :: !order)
+    slcas;
+  let candidates = List.rev !order in
+  let minimal =
+    List.filter
+      (fun id ->
+        not
+          (List.exists
+             (fun other ->
+               other <> id && Doctree.is_descendant_or_self tree ~ancestor:other id)
+             candidates))
+      candidates
+  in
+  let score id =
+    let lo = id and hi = Doctree.subtree_end tree id in
+    let weight kw =
+      match scoring with
+      | Search.Occurrence -> 1.0
+      | Search.Tf_idf ->
+        let df = Index.doc_frequency idx kw in
+        if df = 0 then 0.0
+        else log (float_of_int (Doctree.size tree) /. float_of_int df)
+    in
+    let mass =
+      List.fold_left
+        (fun acc kw ->
+          let inside =
+            Array.fold_left
+              (fun n p -> if p >= lo && p < hi then n + 1 else n)
+              0 (Index.postings idx kw)
+          in
+          acc +. (float_of_int inside *. weight kw))
+        0.0 keywords
+    in
+    mass /. log (float_of_int (hi - lo + 2))
+  in
+  List.map (fun id -> (id, score id, List.rev !(Hashtbl.find table id))) minimal
+  |> List.sort (fun (ia, sa, _) (ib, sb, _) ->
+         let c = Float.compare sb sa in
+         if c <> 0 then c else Int.compare ia ib)
+  |> List.mapi (fun i (id, score, witnesses) -> (i + 1, id, score, witnesses))
+
+let test_query_matches_oracle () =
+  let rows_t = Alcotest.(list (pair (pair int int) (pair int64 (list int)))) in
+  let view rows =
+    List.map
+      (fun (rank, id, score, witnesses) ->
+        ((rank, id), (Int64.bits_of_float score, witnesses)))
+      rows
+  in
+  let check_query ?lift_to engine ds_name scoring (label, keywords) =
+    let actual =
+      Search.query ?lift_to ~scoring engine keywords
+      |> List.map (fun (r : Search.result) ->
+             (r.rank, r.node_id, r.score, r.slca_ids))
+    in
+    check rows_t
+      (Printf.sprintf "%s %s %S%s" ds_name label keywords
+         (match lift_to with Some t -> " lift_to " ^ t | None -> ""))
+      (view (reference_query ?lift_to ~scoring engine keywords))
+      (view actual)
+  in
+  List.iter
+    (fun (ds : Xsact_dataset.Dataset.t) ->
+      let engine = Search.create ds.document in
+      List.iter
+        (fun q ->
+          check_query engine ds.name Search.Occurrence q;
+          check_query engine ds.name Search.Tf_idf q;
+          (* the coarser granularity the Outdoor Retailer demo compares at *)
+          if ds.name = "outdoor-retailer" then
+            check_query ~lift_to:"brand" engine ds.name Search.Occurrence q)
+        ds.queries)
+    Xsact_dataset.Dataset.[ product_reviews (); outdoor_retailer (); imdb () ]
+
+let prop_query_matches_oracle =
+  QCheck.Test.make ~name:"query = oracle reference on random corpora"
+    ~count:fuzz_iters
+    (QCheck.make gen_agreement_case ~print:(fun (root, kws) ->
+         Xml_print.node_to_string (Xml.Element root)
+         ^ " / "
+         ^ String.concat "," kws))
+    (fun (root, keywords) ->
+      let engine = Search.of_element root in
+      let query = String.concat " " keywords in
+      List.for_all
+        (fun (lift_to, scoring) ->
+          let actual =
+            Search.query ?lift_to ~scoring engine query
+            |> List.map (fun (r : Search.result) ->
+                   (r.rank, r.node_id, Int64.bits_of_float r.score, r.slca_ids))
+          in
+          let expected =
+            reference_query ?lift_to ~scoring engine query
+            |> List.map (fun (rank, id, score, witnesses) ->
+                   (rank, id, Int64.bits_of_float score, witnesses))
+          in
+          actual = expected)
+        [ (None, Search.Occurrence); (None, Search.Tf_idf);
+          (Some "q", Search.Occurrence) ])
+
 let () =
   Alcotest.run "xsact_search"
     [
@@ -448,7 +613,7 @@ let () =
           Alcotest.test_case "elca basics" `Quick test_elca_basic;
           Alcotest.test_case "elca ancestor witness" `Quick
             test_elca_owns_witness;
-          qtest prop_slca_agreement;
+          qtest ~rand:(Random.State.make [| 2010 |]) prop_slca_agreement;
           qtest prop_slca_minimality;
           qtest prop_slca_subset_elca;
         ] );
@@ -467,5 +632,8 @@ let () =
           Alcotest.test_case "lift_to" `Quick test_query_lift_to;
           Alcotest.test_case "tf-idf scoring" `Quick test_tfidf_scoring;
           Alcotest.test_case "nested dedup" `Quick test_nested_results_deduped;
+          Alcotest.test_case "equals the oracle on canned queries" `Quick
+            test_query_matches_oracle;
+          qtest ~rand:(Random.State.make [| 2010 |]) prop_query_matches_oracle;
         ] );
     ]
